@@ -13,7 +13,7 @@
 // Positional arguments are script files: each is run to completion (with
 // file:line:col diagnostics on error) and the process exits instead of
 // entering the loop. Flags are EngineOptions::applyFlag spellings
-// ("--no-jit", "--ic", "--stats", "-O0".."-O2", "--jit-opt=[+|-]pass,...").
+// ("--no-jit", "--stats", "-O0".."-O2", "--jit-opt=[+|-]pass,...").
 //
 //===----------------------------------------------------------------------===//
 

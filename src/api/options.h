@@ -81,13 +81,6 @@ using FaultHook = std::function<bool(FaultSite)>;
 #define TRACEJIT_VERIFY_LIR_DEFAULT false
 #endif
 
-/// Default for EngineOptions::EnableIC. CMake exposes it as the cache
-/// variable TRACEJIT_IC_DEFAULT so the CI fallback leg can build a tree
-/// whose engines run IC-less unless a test opts back in.
-#if !defined(TRACEJIT_IC_DEFAULT)
-#define TRACEJIT_IC_DEFAULT 1
-#endif
-
 /// One named stage of the LIR optimization pipeline: the paper's §5.1
 /// forward/backward filters plus the loop-optimizer passes (lir/opt.h).
 /// The enum is a registry, not an order -- execution order is fixed by the
@@ -300,19 +293,6 @@ struct EngineOptions {
   /// engine owns a private service.
   CompileService *SharedCompileService = nullptr;
 
-  // --- Interpreter hot path ---------------------------------------------------
-
-  /// Per-site property inline caches (vm/ic.h): GetProp/SetProp probe a
-  /// mono/poly shape cache before the dictionary lookup, and the trace
-  /// recorder reuses the cached shape+slot when emitting guards. Off
-  /// reproduces the seed interpreter's lookup path bit-for-bit.
-  bool EnableIC = TRACEJIT_IC_DEFAULT != 0;
-
-  /// Computed-goto threaded dispatch for the interpreter loop. Only
-  /// effective when the build detected compiler support (CMake defines
-  /// TRACEJIT_COMPUTED_GOTO); otherwise the switch loop runs regardless.
-  bool ThreadedDispatch = true;
-
   // --- Resource governance ----------------------------------------------------
 
   /// Wall-clock budget for one Engine::eval, in milliseconds; 0 = no
@@ -349,7 +329,7 @@ struct EngineOptions {
   /// with this on and asserts zero contradictions.
   bool ValidateStaticFacts = false;
 
-  /// Apply one command-line style flag ("--ic", "--no-jit", ...) to this
+  /// Apply one command-line style flag ("--no-jit", "--stats", ...) to this
   /// options struct. The single source of truth for engine flags: the repl
   /// and the bench harness both parse through it. Returns false when the
   /// flag is not recognized.

@@ -260,7 +260,7 @@ Value Interpreter::callValue(Value Callee, Value ThisV, const Value *Args,
   return R;
 }
 
-// --- Dispatch -------------------------------------------------------------------
+// --- Entry point -------------------------------------------------------------
 
 Value Interpreter::run(FunctionScript *Top) {
   uint32_t EntrySp = Sp;
@@ -282,9 +282,7 @@ Value Interpreter::run(FunctionScript *Top) {
   return R;
 }
 
-Value Interpreter::dispatch() { return dispatchUntil(Frames.size() - 1); }
-
-// --- Shared op bodies (multi-label cases in the seed switch) --------------------
+// --- Shared op bodies --------------------------------------------------------
 
 void Interpreter::execBitop(Op O) {
   Value B = Stack[Sp - 1];
@@ -522,39 +520,11 @@ void Interpreter::icInsert(PropertyIC &IC, const ICEntry &E,
   }
 }
 
-// --- Dispatch harnesses ---------------------------------------------------------
+// --- Dispatch loop -----------------------------------------------------------
 
 Value Interpreter::dispatchUntil(size_t StopDepth) {
-#if defined(TRACEJIT_COMPUTED_GOTO)
-  if (Ctx.Opts.ThreadedDispatch)
-    return dispatchThreaded(StopDepth);
-#endif
-  return dispatchSwitch(StopDepth);
-}
-
-/// X-macro over every opcode, in Op enum order. Drives the threaded-dispatch
-/// label table; must stay in sync with enum Op (static_asserted below).
-#define TJ_FOR_EACH_OP(X)                                                      \
-  X(Nop) X(LoopHeader) X(Nop3) X(PushConst) X(PushUndefined) X(Pop)            \
-  X(PopResult) X(Dup) X(Dup2) X(GetLocal) X(SetLocal) X(GetGlobal)             \
-  X(SetGlobal) X(GetProp) X(SetProp) X(InitProp) X(GetElem) X(SetElem)         \
-  X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(Neg) X(BitAnd) X(BitOr) X(BitXor)       \
-  X(Shl) X(Shr) X(Ushr) X(BitNot) X(Lt) X(Le) X(Gt) X(Ge) X(Eq) X(Ne)          \
-  X(StrictEq) X(StrictNe) X(LogicalNot) X(Jump) X(JumpIfFalse) X(JumpIfTrue)   \
-  X(Call) X(CallProp) X(Return) X(ReturnUndefined) X(NewArray) X(NewObject)
-
-#define TJ_COUNT(name) +1
-static_assert(0 TJ_FOR_EACH_OP(TJ_COUNT) == (int)Op::NumOps,
-              "TJ_FOR_EACH_OP out of sync with enum Op");
-#undef TJ_COUNT
-
-Value Interpreter::dispatchSwitch(size_t StopDepth) {
   VMContext &C = Ctx;
   const bool Stats = C.Opts.CollectStats;
-  const bool IcOn = C.Opts.EnableIC;
-  Frame *F;
-  FunctionScript *Script;
-  Op O;
 
   while (true) {
     if (C.HasError) {
@@ -563,9 +533,9 @@ Value Interpreter::dispatchSwitch(size_t StopDepth) {
         Frames.pop_back();
       return Value::undefined();
     }
-    F = &Frames.back();
-    Script = F->Script;
-    O = (Op)Script->Code[Pc];
+    Frame *F = &Frames.back();
+    FunctionScript *Script = F->Script;
+    Op O = (Op)Script->Code[Pc];
 
     if (C.Monitor && C.Monitor->recording() && O != Op::LoopHeader) {
       C.Monitor->recordOp(*this, Pc);
@@ -576,68 +546,402 @@ Value Interpreter::dispatchSwitch(size_t StopDepth) {
     }
 
     switch (O) {
-#define TJ_OP(name) case Op::name: {
-#define TJ_NEXT() } break;
-#include "interp/dispatch.inc"
-#undef TJ_OP
-#undef TJ_NEXT
+    case Op::Nop:
+      ++Pc;
+      break;
+    case Op::Nop3:
+      // A blacklisted loop header (§3.3) -- the monitor call is patched out,
+      // but the loop edge must stay a safe point or a blacklisted hot loop
+      // could never be collected, preempted, or terminated.
+      if (!C.OnTrace) {
+        C.pollDeadline();
+        if (C.PreemptFlag)
+          C.serviceInterrupts();
+      }
+      Pc += 3;
+      break;
+    case Op::LoopHeader:
+      // The interpreter's safe point: check the deadline occasionally, then
+      // service any pending interrupt (GC, or a governor terminating the
+      // script). Skipped on trace re-entry (§6.5) -- the trace's own preempt
+      // guard handles it after the exit.
+      if (!C.OnTrace) {
+        C.pollDeadline();
+        if (C.PreemptFlag)
+          C.serviceInterrupts();
+      }
+      if (C.Opts.ValidateStaticFacts) {
+        // Differential check: every live slot must satisfy its static header
+        // fact. Contradictions indicate analysis unsoundness, never script
+        // bugs, so they only count -- execution continues unchanged.
+        if (const ScriptAnalysis *A = C.analysisOf(Script))
+          validateHeaderFacts(*A, C.Globals.Values.data(), C.Globals.size(),
+                              &Stack[F->Base], Script->NumLocals, Pc,
+                              C.Stats.StaticFactChecks,
+                              C.Stats.StaticFactContradictions);
+      }
+      if (C.Monitor && !C.HasError) {
+        uint16_t LoopId = Script->u16At(Pc + 1);
+        uint32_t NewPc = C.Monitor->onLoopEdge(*this, Pc, LoopId);
+        Pc = NewPc;
+      } else {
+        Pc += 3;
+      }
+      break;
+    case Op::PushConst:
+      Stack[Sp++] = Script->Consts[Script->u16At(Pc + 1)];
+      Pc += 3;
+      break;
+    case Op::PushUndefined:
+      Stack[Sp++] = Value::undefined();
+      ++Pc;
+      break;
+    case Op::Pop:
+      --Sp;
+      ++Pc;
+      break;
+    case Op::PopResult:
+      C.LastResult = Stack[--Sp];
+      ++Pc;
+      break;
+    case Op::Dup:
+      Stack[Sp] = Stack[Sp - 1];
+      ++Sp;
+      ++Pc;
+      break;
+    case Op::Dup2:
+      Stack[Sp] = Stack[Sp - 2];
+      Stack[Sp + 1] = Stack[Sp - 1];
+      Sp += 2;
+      ++Pc;
+      break;
+    case Op::GetLocal:
+      Stack[Sp++] = Stack[F->Base + Script->u16At(Pc + 1)];
+      Pc += 3;
+      break;
+    case Op::SetLocal:
+      Stack[F->Base + Script->u16At(Pc + 1)] = Stack[Sp - 1];
+      Pc += 3;
+      break;
+    case Op::GetGlobal:
+      Stack[Sp++] = C.Globals.Values[Script->u16At(Pc + 1)];
+      Pc += 3;
+      break;
+    case Op::SetGlobal:
+      C.Globals.Values[Script->u16At(Pc + 1)] = Stack[Sp - 1];
+      Pc += 3;
+      break;
+    case Op::GetProp: {
+      Value B = Stack[Sp - 1];
+      PropertyIC &IC = Script->ICs[Script->u16At(Pc + 3)];
+      // On a hit icGetProp writes the stack slot in place (it only stores
+      // through Out on success, and B was copied out above).
+      if (icGetProp(IC, B, Stack[Sp - 1])) {
+        if (Stats)
+          ++C.Stats.IcHits;
+      } else {
+        String *Name = Script->Atoms[Script->u16At(Pc + 1)];
+        Stack[Sp - 1] = getPropValue(B, Name);
+        // A mega site stays on the dictionary path for good: refilling would
+        // just repeat the lookup icInsert is about to discard.
+        if (!C.HasError && IC.State != ICState::Mega) {
+          if (Stats)
+            ++C.Stats.IcMisses;
+          icFillGetProp(IC, B, Name, Script, Pc);
+        }
+      }
+      Pc += 5;
+      break;
+    }
+    case Op::SetProp: {
+      Value V = Stack[Sp - 1];
+      Value B = Stack[Sp - 2];
+      if (!B.isObject()) {
+        rtError("property store on a non-object");
+      } else {
+        Object *Obj = B.toObject();
+        PropertyIC &IC = Script->ICs[Script->u16At(Pc + 3)];
+        if (icSetProp(IC, Obj, V)) {
+          if (Stats)
+            ++C.Stats.IcHits;
+        } else {
+          Shape *OldShape = Obj->shape();
+          String *Name = Script->Atoms[Script->u16At(Pc + 1)];
+          Obj->setProperty(C.Shapes, Name, V);
+          if (IC.State != ICState::Mega) {
+            if (Stats)
+              ++C.Stats.IcMisses;
+            icFillSetProp(IC, Obj, OldShape, Name, Script, Pc);
+          }
+        }
+        Stack[Sp - 2] = V;
+        --Sp;
+        Pc += 5;
+      }
+      break;
+    }
+    case Op::InitProp: {
+      Value V = Stack[Sp - 1];
+      Value B = Stack[Sp - 2];
+      B.toObject()->setProperty(C.Shapes, Script->Atoms[Script->u16At(Pc + 1)],
+                                V);
+      --Sp;
+      Pc += 3;
+      break;
+    }
+    case Op::GetElem: {
+      Value I = Stack[Sp - 1];
+      Value B = Stack[Sp - 2];
+      Stack[Sp - 2] = getElemValue(B, I);
+      --Sp;
+      ++Pc;
+      break;
+    }
+    case Op::SetElem: {
+      Value V = Stack[Sp - 1];
+      Value I = Stack[Sp - 2];
+      Value B = Stack[Sp - 3];
+      setElemValue(B, I, V);
+      Stack[Sp - 3] = V;
+      Sp -= 2;
+      ++Pc;
+      break;
+    }
+    case Op::Add: {
+      Value B = Stack[Sp - 1];
+      Value A = Stack[Sp - 2];
+      --Sp;
+      if (A.isInt() && B.isInt()) {
+        int64_t R = (int64_t)A.toInt() + B.toInt();
+        Stack[Sp - 1] = Value::fitsInt31(R) ? Value::makeInt((int32_t)R)
+                                            : C.TheHeap.boxDouble((double)R);
+      } else if (A.isString() || B.isString()) {
+        Stack[Sp - 1] = concatValues(A, B);
+      } else {
+        Stack[Sp - 1] = C.TheHeap.boxNumber(toNumber(A) + toNumber(B));
+      }
+      ++Pc;
+      break;
+    }
+    case Op::Sub: {
+      Value B = Stack[Sp - 1];
+      Value A = Stack[Sp - 2];
+      --Sp;
+      if (A.isInt() && B.isInt()) {
+        int64_t R = (int64_t)A.toInt() - B.toInt();
+        Stack[Sp - 1] = Value::fitsInt31(R) ? Value::makeInt((int32_t)R)
+                                            : C.TheHeap.boxDouble((double)R);
+      } else {
+        Stack[Sp - 1] = C.TheHeap.boxNumber(toNumber(A) - toNumber(B));
+      }
+      ++Pc;
+      break;
+    }
+    case Op::Mul: {
+      Value B = Stack[Sp - 1];
+      Value A = Stack[Sp - 2];
+      --Sp;
+      if (A.isInt() && B.isInt()) {
+        int64_t R = (int64_t)A.toInt() * B.toInt();
+        Stack[Sp - 1] = Value::fitsInt31(R) ? Value::makeInt((int32_t)R)
+                                            : C.TheHeap.boxDouble((double)R);
+      } else {
+        Stack[Sp - 1] = C.TheHeap.boxNumber(toNumber(A) * toNumber(B));
+      }
+      ++Pc;
+      break;
+    }
+    case Op::Div: {
+      Value B = Stack[Sp - 1];
+      Value A = Stack[Sp - 2];
+      --Sp;
+      Stack[Sp - 1] = C.TheHeap.boxNumber(toNumber(A) / toNumber(B));
+      ++Pc;
+      break;
+    }
+    case Op::Mod: {
+      Value B = Stack[Sp - 1];
+      Value A = Stack[Sp - 2];
+      --Sp;
+      if (A.isInt() && B.isInt() && A.toInt() >= 0 && B.toInt() > 0) {
+        Stack[Sp - 1] = Value::makeInt(A.toInt() % B.toInt());
+      } else {
+        Stack[Sp - 1] =
+            C.TheHeap.boxNumber(std::fmod(toNumber(A), toNumber(B)));
+      }
+      ++Pc;
+      break;
+    }
+    case Op::Neg: {
+      Value A = Stack[Sp - 1];
+      if (A.isInt() && A.toInt() != 0 && A.toInt() != INT32_MIN)
+        Stack[Sp - 1] = Value::makeInt(-A.toInt());
+      else
+        Stack[Sp - 1] = C.TheHeap.boxDouble(-toNumber(A));
+      ++Pc;
+      break;
+    }
+    case Op::BitAnd:
+      execBitop(Op::BitAnd);
+      break;
+    case Op::BitOr:
+      execBitop(Op::BitOr);
+      break;
+    case Op::BitXor:
+      execBitop(Op::BitXor);
+      break;
+    case Op::Shl:
+      execBitop(Op::Shl);
+      break;
+    case Op::Shr:
+      execBitop(Op::Shr);
+      break;
+    case Op::Ushr: {
+      Value B = Stack[Sp - 1];
+      Value A = Stack[Sp - 2];
+      --Sp;
+      uint32_t X = (uint32_t)(A.isInt() ? A.toInt() : valueToInt32(A));
+      int32_t Y = B.isInt() ? B.toInt() : valueToInt32(B);
+      uint32_t R = X >> (Y & 31);
+      Stack[Sp - 1] = R <= (uint32_t)INT32_MAX ? Value::makeInt((int32_t)R)
+                                               : C.TheHeap.boxDouble((double)R);
+      ++Pc;
+      break;
+    }
+    case Op::BitNot: {
+      Value A = Stack[Sp - 1];
+      int32_t X = A.isInt() ? A.toInt() : valueToInt32(A);
+      Stack[Sp - 1] = Value::makeInt(~X);
+      ++Pc;
+      break;
+    }
+    case Op::Lt:
+      execCompare(Op::Lt);
+      break;
+    case Op::Le:
+      execCompare(Op::Le);
+      break;
+    case Op::Gt:
+      execCompare(Op::Gt);
+      break;
+    case Op::Ge:
+      execCompare(Op::Ge);
+      break;
+    case Op::Eq:
+      execEquality(/*Negate=*/false);
+      break;
+    case Op::Ne:
+      execEquality(/*Negate=*/true);
+      break;
+    case Op::StrictEq:
+      execStrictEquality(/*Negate=*/false);
+      break;
+    case Op::StrictNe:
+      execStrictEquality(/*Negate=*/true);
+      break;
+    case Op::LogicalNot:
+      Stack[Sp - 1] = Value::makeBoolean(!Stack[Sp - 1].truthy());
+      ++Pc;
+      break;
+    case Op::Jump:
+      Pc = Script->u32At(Pc + 1);
+      break;
+    case Op::JumpIfFalse: {
+      Value V = Stack[--Sp];
+      Pc = V.truthy() ? Pc + 5 : Script->u32At(Pc + 1);
+      break;
+    }
+    case Op::JumpIfTrue: {
+      Value V = Stack[--Sp];
+      Pc = V.truthy() ? Script->u32At(Pc + 1) : Pc + 5;
+      break;
+    }
+    case Op::Call: {
+      uint8_t ArgC = Script->Code[Pc + 1];
+      Value Callee = Stack[Sp - ArgC - 1];
+      if (!Callee.isObject() || !Callee.toObject()->isFunction()) {
+        rtError("calling a non-function");
+      } else {
+        Object *FnObj = Callee.toObject();
+        if (FnObj->native()) {
+          Value R =
+              callNative(FnObj, Value::undefined(), &Stack[Sp - ArgC], ArgC);
+          Sp -= ArgC + 1;
+          Stack[Sp++] = R;
+          Pc += 2;
+        } else {
+          Pc += 2; // resume point after the call
+          pushFrameForCall(FnObj, ArgC);
+        }
+      }
+      break;
+    }
+    case Op::CallProp: {
+      String *Name = Script->Atoms[Script->u16At(Pc + 1)];
+      uint8_t ArgC = Script->Code[Pc + 3];
+      Value Recv = Stack[Sp - ArgC - 1];
+      // Scripted method on an object property: rewrite into a normal call.
+      bool Done = false;
+      if (Recv.isObject() && !Recv.toObject()->isArray()) {
+        Value M = Recv.toObject()->getProperty(Name);
+        if (M.isObject() && M.toObject()->isFunction()) {
+          Object *FnObj = M.toObject();
+          if (FnObj->native()) {
+            Value R = callNative(FnObj, Recv, &Stack[Sp - ArgC], ArgC);
+            Sp -= ArgC + 1;
+            Stack[Sp++] = R;
+            Pc += 4;
+          } else {
+            Stack[Sp - ArgC - 1] = M;
+            Pc += 4;
+            pushFrameForCall(FnObj, ArgC);
+          }
+          Done = true;
+        }
+      }
+      if (!Done) {
+        Value R = callPropValue(Recv, Name, &Stack[Sp - ArgC], ArgC);
+        Sp -= ArgC + 1;
+        Stack[Sp++] = R;
+        Pc += 4;
+      }
+      break;
+    }
+    case Op::Return: {
+      Value R = Stack[--Sp];
+      if (popReturnFrame(StopDepth, R))
+        return R;
+      break;
+    }
+    case Op::ReturnUndefined: {
+      Value R = Value::undefined();
+      if (popReturnFrame(StopDepth, R))
+        return R;
+      break;
+    }
+    case Op::NewArray: {
+      uint16_t N = Script->u16At(Pc + 1);
+      Object *A = Object::createArray(C.TheHeap, C.Shapes, N);
+      for (uint16_t I = 0; I < N; ++I)
+        A->setElement(C.TheHeap, I, Stack[Sp - N + I]);
+      Sp -= N;
+      Stack[Sp++] = Value::makeObject(A);
+      C.maybeScheduleGC();
+      Pc += 3;
+      break;
+    }
+    case Op::NewObject: {
+      Object *Obj = Object::create(C.TheHeap, C.Shapes);
+      Stack[Sp++] = Value::makeObject(Obj);
+      C.maybeScheduleGC();
+      ++Pc;
+      break;
+    }
     case Op::NumOps:
       rtError("corrupt bytecode");
       break;
     }
   }
 }
-
-#if defined(TRACEJIT_COMPUTED_GOTO)
-Value Interpreter::dispatchThreaded(size_t StopDepth) {
-  VMContext &C = Ctx;
-  const bool Stats = C.Opts.CollectStats;
-  const bool IcOn = C.Opts.EnableIC;
-  Frame *F;
-  FunctionScript *Script;
-  Op O;
-
-  // One label per opcode, indexed by the opcode byte. A single shared
-  // prologue (error unwind + recording hook) keeps the op bodies identical
-  // to the switch harness; each body jumps back to TjDispatch.
-  static const void *const Table[] = {
-#define TJ_LABEL(name) &&L_##name,
-      TJ_FOR_EACH_OP(TJ_LABEL)
-#undef TJ_LABEL
-  };
-
-TjDispatch:
-  if (C.HasError) {
-    while (Frames.size() > StopDepth)
-      Frames.pop_back();
-    return Value::undefined();
-  }
-  F = &Frames.back();
-  Script = F->Script;
-  O = (Op)Script->Code[Pc];
-
-  if (C.Monitor && C.Monitor->recording() && O != Op::LoopHeader) {
-    C.Monitor->recordOp(*this, Pc);
-    if (Stats)
-      ++C.Stats.BytecodesRecorded;
-  } else if (Stats) {
-    ++C.Stats.BytecodesInterpreted;
-  }
-
-  if ((uint8_t)O >= (uint8_t)Op::NumOps)
-    goto L_Corrupt;
-  goto *Table[(uint8_t)O];
-
-#define TJ_OP(name) L_##name: {
-#define TJ_NEXT() } goto TjDispatch;
-#include "interp/dispatch.inc"
-#undef TJ_OP
-#undef TJ_NEXT
-
-L_Corrupt:
-  rtError("corrupt bytecode");
-  goto TjDispatch;
-}
-#endif // TRACEJIT_COMPUTED_GOTO
 
 } // namespace tracejit

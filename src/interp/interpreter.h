@@ -79,21 +79,13 @@ private:
   friend class TraceRecorder;
   friend struct MethodOps; ///< Method-tier helper bodies (trace/helpers.cpp).
 
-  /// The dispatch loop. Executes until the entry frame returns or an error
-  /// is raised.
-  Value dispatch();
-  /// Dispatch until the frame stack shrinks back to \p StopDepth. Picks the
-  /// threaded (computed-goto) harness when the build supports it and
-  /// EngineOptions::ThreadedDispatch is set; both harnesses stamp out the
-  /// same op bodies from interp/dispatch.inc.
+  /// The dispatch loop: one switch over the opcode byte. Runs until the
+  /// frame stack shrinks back to \p StopDepth or an error is raised.
   Value dispatchUntil(size_t StopDepth);
-  Value dispatchSwitch(size_t StopDepth);
-#if defined(TRACEJIT_COMPUTED_GOTO)
-  Value dispatchThreaded(size_t StopDepth);
-#endif
 
-  // Op bodies the seed interpreter shared between several case labels,
-  // factored out so each opcode keeps its own dispatch label (dispatch.inc).
+  // Op bodies shared by several opcodes. Each opcode keeps its own case and
+  // passes its operator as a constant, so the inlined body is specialized
+  // per case instead of testing the opcode again at run time.
   void execBitop(Op O);
   void execCompare(Op O);
   void execEquality(bool Negate);

@@ -350,15 +350,15 @@ bool TraceRecorder::icSiteMegamorphic(const PropertyIC &IC, uint32_t Pc) const {
              Oracle::propSiteKey(script()->Id, Pc));
 }
 
-void TraceRecorder::icShapeGuard(const PropertyIC *IC, Object *RO, LIns *Obj,
+void TraceRecorder::icShapeGuard(const PropertyIC &IC, Object *RO, LIns *Obj,
                                  uint32_t Slot, uint32_t Pc) {
-  if (IC && (IC->State == ICState::Mono || IC->State == ICState::Poly)) {
+  if (IC.State == ICState::Mono || IC.State == ICState::Poly) {
     Shape *Shapes[PropertyIC::MaxEntries];
     size_t N = 0;
     bool LiveCached = false;
     uint8_t K = (uint8_t)RO->kind();
-    for (uint8_t I = 0; I < IC->N; ++I) {
-      const ICEntry &E = IC->Entries[I];
+    for (uint8_t I = 0; I < IC.N; ++I) {
+      const ICEntry &E = IC.Entries[I];
       // Only same-kind entries that resolve the name to the same slot can
       // share this trace's slot load.
       if (E.Kind != ICEntryKind::Slot || E.KindGuard != K || E.Slot != Slot)
@@ -713,9 +713,8 @@ void TraceRecorder::recordBranch(Op O, uint32_t Pc) {
 
 void TraceRecorder::recordGetProp(uint32_t Pc) {
   String *Name = script()->Atoms[script()->u16At(Pc + 1)];
-  const PropertyIC *IC =
-      Ctx.Opts.EnableIC ? &script()->ICs[script()->u16At(Pc + 3)] : nullptr;
-  if (IC && icSiteMegamorphic(*IC, Pc)) {
+  const PropertyIC &IC = script()->ICs[script()->u16At(Pc + 3)];
+  if (icSiteMegamorphic(IC, Pc)) {
     // A shape guard here would fail on most iterations; don't record one.
     abort(AbortReason::MegamorphicSite);
     return;
@@ -767,9 +766,8 @@ void TraceRecorder::recordGetProp(uint32_t Pc) {
 
 void TraceRecorder::recordSetProp(uint32_t Pc) {
   String *Name = script()->Atoms[script()->u16At(Pc + 1)];
-  const PropertyIC *IC =
-      Ctx.Opts.EnableIC ? &script()->ICs[script()->u16At(Pc + 3)] : nullptr;
-  if (IC && icSiteMegamorphic(*IC, Pc)) {
+  const PropertyIC &IC = script()->ICs[script()->u16At(Pc + 3)];
+  if (icSiteMegamorphic(IC, Pc)) {
     abort(AbortReason::MegamorphicSite);
     return;
   }

@@ -1,10 +1,10 @@
-//===- test_ic.cpp - Property inline caches + threaded dispatch -----------------===//
+//===- test_ic.cpp - Property inline caches -------------------------------===//
 //
 // Covers the IC ladder (mono -> poly -> mega), both invalidation paths
 // (shape-transition self-invalidation and the whole-table reset on a
-// code-cache flush), bit-for-bit equivalence with ICs off, the recorder's
-// consumption of IC state (mono replay, poly multi-shape guards, mega
-// aborts), and switch-vs-threaded dispatch equivalence.
+// code-cache flush), a property-heavy corpus whose literal outputs must
+// hold on every tier, and the recorder's consumption of IC state (mono
+// replay, poly multi-shape guards, mega aborts).
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,14 +42,12 @@ RunInfo runWith(const std::string &Src, EngineOptions O) {
 EngineOptions interpIc() {
   EngineOptions O;
   O.EnableJit = false;
-  O.EnableIC = true;
   return O;
 }
 
 EngineOptions jitIc() {
   EngineOptions O;
   O.EnableJit = true;
-  O.EnableIC = true;
   O.Tier = TierMode::Trace; // IC/trace interplay assertions
   return O;
 }
@@ -183,37 +181,50 @@ TEST(InlineCaches, CacheFlushResetsEveryIC) {
   EXPECT_EQ(Out, "200\n");
 }
 
-TEST(InlineCaches, OffModeIsBitForBitEquivalent) {
+TEST(InlineCaches, CorpusPrintsExpectedOutputOnEveryTier) {
   // A corpus heavy on property traffic, including the special-case
   // receivers (array.length, string.length, absent names, transitions).
-  const char *Corpus[] = {
-      "var o = {}; o.a = 1; o.b = 2; var s = 0;\n"
-      "for (var i = 0; i < 500; ++i) { s = s + o.a + o.b; o.a = s % 13; }\n"
-      "print(s); print(o.a);",
+  // Each script carries its literal expected output, so a wrong IC entry
+  // cannot hide behind a run that is wrong the same way on every tier.
+  struct Case {
+    const char *Src;
+    const char *Expected;
+  } Corpus[] = {
+      {"var o = {}; o.a = 1; o.b = 2; var s = 0;\n"
+       "for (var i = 0; i < 500; ++i) { s = s + o.a + o.b; o.a = s % 13; }\n"
+       "print(s); print(o.a);",
+       "3784\n1\n"},
 
-      "var a = Array(10); for (var i = 0; i < 10; ++i) a[i] = i;\n"
-      "var n = 0; for (var j = 0; j < 300; ++j) n = n + a.length;\n"
-      "print(n); print('abc'.length);",
+      {"var a = Array(10); for (var i = 0; i < 10; ++i) a[i] = i;\n"
+       "var n = 0; for (var j = 0; j < 300; ++j) n = n + a.length;\n"
+       "print(n); print('abc'.length);",
+       "3000\n3\n"},
 
-      "var q = {}; q.x = 3;\n"
-      "print(q.missing); print(q.x);\n"
-      "q.y = 4; print(q.y);",
+      {"var q = {}; q.x = 3;\n"
+       "print(q.missing); print(q.x);\n"
+       "q.y = 4; print(q.y);",
+       "undefined\n3\n4\n"},
 
-      "function mk(i) { var o = {}; if (i % 2) o.pad = 0; o.v = i; return o; }\n"
-      "var s = 0;\n"
-      "for (var i = 0; i < 400; ++i) s = s + mk(i).v;\n"
-      "print(s);",
+      {"function mk(i) {\n"
+       "  var o = {}; if (i % 2) o.pad = 0; o.v = i; return o;\n"
+       "}\n"
+       "var s = 0;\n"
+       "for (var i = 0; i < 400; ++i) s = s + mk(i).v;\n"
+       "print(s);",
+       "79800\n"},
   };
-  for (const char *Src : Corpus) {
-    EngineOptions On = interpIc();
-    EngineOptions Off = interpIc();
-    Off.EnableIC = false;
-    RunInfo A = runWith(Src, On);
-    RunInfo B = runWith(Src, Off);
-    ASSERT_TRUE(A.Ok) << A.Error;
-    ASSERT_TRUE(B.Ok) << B.Error;
-    EXPECT_EQ(A.Out, B.Out) << Src;
-    EXPECT_EQ(B.Stats.IcHits, 0u) << "IC-off engines never probe";
+  EngineOptions Method = jitIc();
+  Method.Tier = TierMode::Method;
+  struct Mode {
+    const char *Name;
+    EngineOptions Opts;
+  } Modes[] = {{"jit off", interpIc()}, {"trace", jitIc()}, {"method", Method}};
+  for (const Case &K : Corpus) {
+    for (const Mode &M : Modes) {
+      RunInfo R = runWith(K.Src, M.Opts);
+      ASSERT_TRUE(R.Ok) << M.Name << ": " << R.Error;
+      EXPECT_EQ(R.Out, K.Expected) << M.Name << ":\n" << K.Src;
+    }
   }
 }
 
@@ -276,46 +287,4 @@ TEST(InlineCaches, RecorderAbortsAtMegamorphicSite) {
   EXPECT_GE(R.Stats.AbortsByReason[(size_t)AbortReason::MegamorphicSite], 1u)
       << "recording through a megamorphic site must abort, not compile an "
          "always-exiting guard ladder";
-}
-
-TEST(ThreadedDispatch, SwitchAndThreadedAgree) {
-  // Whatever harness the build selected, the runtime toggle must not
-  // change observable behavior. (In builds without computed-goto support
-  // both runs use the switch loop and this degenerates to determinism.)
-  const char *Corpus[] = {
-      "var s = 0; for (var i = 0; i < 1000; ++i) s += i; print(s);",
-      "var o = {}; o.a = 1; var t = 0;\n"
-      "for (var i = 0; i < 500; ++i) { t = t + o.a; o.a = t % 7; }\n"
-      "print(t);",
-      "function f(n) { if (n < 2) return n; return f(n - 1) + f(n - 2); }\n"
-      "print(f(15));",
-      "var a = Array(64); for (var i = 0; i < 64; ++i) a[i] = i * i;\n"
-      "var s = 0; for (var j = 0; j < 64; ++j) s = s + a[j];\n"
-      "print(s); print(a.length);",
-  };
-  for (const char *Src : Corpus) {
-    for (bool Jit : {false, true}) {
-      EngineOptions T;
-      T.EnableJit = Jit;
-      T.ThreadedDispatch = true;
-      EngineOptions S = T;
-      S.ThreadedDispatch = false;
-      RunInfo A = runWith(Src, T);
-      RunInfo B = runWith(Src, S);
-      ASSERT_TRUE(A.Ok) << A.Error;
-      ASSERT_TRUE(B.Ok) << B.Error;
-      EXPECT_EQ(A.Out, B.Out) << Src;
-    }
-  }
-  // Runtime errors unwind identically through both harnesses.
-  EngineOptions T;
-  T.EnableJit = false;
-  T.ThreadedDispatch = true;
-  EngineOptions S = T;
-  S.ThreadedDispatch = false;
-  RunInfo A = runWith("var u; u.x;", T);
-  RunInfo B = runWith("var u; u.x;", S);
-  EXPECT_FALSE(A.Ok);
-  EXPECT_FALSE(B.Ok);
-  EXPECT_EQ(A.Error, B.Error);
 }
